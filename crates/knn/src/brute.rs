@@ -1,16 +1,16 @@
 //! Exact KNN graph construction by exhaustive pairwise comparison.
 //!
 //! The scan is *tiled* (users are processed in cache-sized blocks so both
-//! sides of a comparison stay hot), *parallel* (tile cells are dispatched to
-//! worker threads over a work-stealing counter, each thread folding into
-//! private top-k partials that are merged deterministically afterwards) and
+//! sides of a comparison stay hot), *parallel* (tile cells are dealt to
+//! worker slots round-robin, each slot folding into private top-k partials
+//! that are merged deterministically afterwards) and
 //! *pruned* (a cheap [`Similarity::similarity_upper_bound`] skips the full
 //! evaluation when the pair cannot enter either endpoint's current top-k —
 //! DESIGN.md §7). Each unordered pair is considered exactly once, and the
 //! output is bit-identical to the naive `O(n²)` double loop.
 
 use crate::graph::{BuildStats, KnnGraph, KnnResult};
-use goldfinger_core::parallel::par_fold_dynamic;
+use goldfinger_core::parallel::{effective_threads, par_map_indexed};
 use goldfinger_core::similarity::Similarity;
 use goldfinger_core::topk::TopK;
 use goldfinger_obs::trace;
@@ -104,77 +104,83 @@ impl BruteForce {
         let prune = self.prune;
         let scan_start = O::ENABLED.then(Instant::now);
         let scan_trace = trace::span_arg("phase", "join", cells.len() as u64);
-        let mut states = par_fold_dynamic(
-            cells.len(),
-            self.threads,
-            1,
-            |_| ScanState {
+        let scan_cell = |state: &mut ScanState, c: usize| {
+            let (ti, tj) = cells[c];
+            let (ue, ve) = (((ti + 1) * tile).min(n), ((tj + 1) * tile).min(n));
+            for u in (ti * tile)..ue {
+                // The diagonal cell covers only its own upper triangle.
+                let v0 = if ti == tj { u + 1 } else { tj * tile };
+                if !prune {
+                    // No prune decisions to interleave, so the whole row
+                    // of the cell batches through one `similarity_batch`
+                    // call (the gather kernel for fingerprint
+                    // providers); offers happen in the same ascending-v
+                    // order as the per-pair loop.
+                    if v0 >= ve {
+                        continue;
+                    }
+                    let uu = u as u32;
+                    state.ids.clear();
+                    state.ids.extend(v0 as u32..ve as u32);
+                    state.sims.clear();
+                    state.sims.resize(state.ids.len(), 0.0);
+                    sim.similarity_batch(uu, &state.ids, &mut state.sims);
+                    state.evals += state.ids.len() as u64;
+                    for (&vv, &s) in state.ids.iter().zip(&state.sims) {
+                        state.tops[u].offer(s, vv);
+                        state.tops[vv as usize].offer(s, uu);
+                    }
+                    continue;
+                }
+                for v in v0..ve {
+                    let (uu, vv) = (u as u32, v as u32);
+                    // Only consult the bound once both sides are full:
+                    // an underfull top-k admits everything. The prune
+                    // check reads both endpoints' *evolving* thresholds,
+                    // so pruned scans stay per-pair — deferring offers
+                    // behind a batch would change which pairs get
+                    // pruned, breaking the pinned counters.
+                    if let (Some(tu), Some(tv)) =
+                        (state.tops[u].threshold(), state.tops[v].threshold())
+                    {
+                        // Strictly below both thresholds ⇒ `offer`
+                        // would reject the pair on both sides even
+                        // on a similarity tie (ties are admitted
+                        // towards lower user ids, hence the strict
+                        // comparison).
+                        if sim
+                            .similarity_upper_bound(uu, vv)
+                            .is_some_and(|b| b < tu && b < tv)
+                        {
+                            state.pruned += 1;
+                            continue;
+                        }
+                    }
+                    let s = sim.similarity(uu, vv);
+                    state.evals += 1;
+                    state.tops[u].offer(s, vv);
+                    state.tops[v].offer(s, uu);
+                }
+            }
+        };
+        // Cells are dealt to slots round-robin: a static assignment, so each
+        // slot's top-k thresholds — and with them its prune decisions and
+        // the eval/pruned split — depend on the thread count only, never on
+        // which worker happened to reach a cell first.
+        let slots = effective_threads(self.threads).min(cells.len()).max(1);
+        let mut states = par_map_indexed(slots, slots, |slot| {
+            let mut state = ScanState {
                 tops: (0..n).map(|_| TopK::new(k)).collect(),
                 evals: 0,
                 pruned: 0,
                 ids: Vec::new(),
                 sims: Vec::new(),
-            },
-            |state, c| {
-                let (ti, tj) = cells[c];
-                let (ue, ve) = (((ti + 1) * tile).min(n), ((tj + 1) * tile).min(n));
-                for u in (ti * tile)..ue {
-                    // The diagonal cell covers only its own upper triangle.
-                    let v0 = if ti == tj { u + 1 } else { tj * tile };
-                    if !prune {
-                        // No prune decisions to interleave, so the whole row
-                        // of the cell batches through one `similarity_batch`
-                        // call (the gather kernel for fingerprint
-                        // providers); offers happen in the same ascending-v
-                        // order as the per-pair loop.
-                        if v0 >= ve {
-                            continue;
-                        }
-                        let uu = u as u32;
-                        state.ids.clear();
-                        state.ids.extend(v0 as u32..ve as u32);
-                        state.sims.clear();
-                        state.sims.resize(state.ids.len(), 0.0);
-                        sim.similarity_batch(uu, &state.ids, &mut state.sims);
-                        state.evals += state.ids.len() as u64;
-                        for (&vv, &s) in state.ids.iter().zip(&state.sims) {
-                            state.tops[u].offer(s, vv);
-                            state.tops[vv as usize].offer(s, uu);
-                        }
-                        continue;
-                    }
-                    for v in v0..ve {
-                        let (uu, vv) = (u as u32, v as u32);
-                        // Only consult the bound once both sides are full:
-                        // an underfull top-k admits everything. The prune
-                        // check reads both endpoints' *evolving* thresholds,
-                        // so pruned scans stay per-pair — deferring offers
-                        // behind a batch would change which pairs get
-                        // pruned, breaking the pinned counters.
-                        if let (Some(tu), Some(tv)) =
-                            (state.tops[u].threshold(), state.tops[v].threshold())
-                        {
-                            // Strictly below both thresholds ⇒ `offer`
-                            // would reject the pair on both sides even
-                            // on a similarity tie (ties are admitted
-                            // towards lower user ids, hence the strict
-                            // comparison).
-                            if sim
-                                .similarity_upper_bound(uu, vv)
-                                .is_some_and(|b| b < tu && b < tv)
-                            {
-                                state.pruned += 1;
-                                continue;
-                            }
-                        }
-                        let s = sim.similarity(uu, vv);
-                        state.evals += 1;
-                        state.tops[u].offer(s, vv);
-                        state.tops[v].offer(s, uu);
-                    }
-                }
-            },
-        );
+            };
+            for c in (slot..cells.len()).step_by(slots) {
+                scan_cell(&mut state, c);
+            }
+            state
+        });
         drop(scan_trace);
         if let Some(t) = scan_start {
             obs.on_span(Phase::Join, t.elapsed());
@@ -327,6 +333,28 @@ mod tests {
         let sim = ExplicitJaccard::new(&profiles);
         let r = BruteForce::default().build(&sim, 3);
         assert!(r.stats.pruned_evals > 0, "stats: {:?}", r.stats);
+    }
+
+    #[test]
+    fn pruned_counters_depend_on_thread_count_only() {
+        // Many small cells over four slots: with cells handed out by
+        // whichever worker comes first, each slot's thresholds — and so the
+        // evaluated/pruned split — would vary from run to run.
+        let profiles = skewed_store(120);
+        let sim = ExplicitJaccard::new(&profiles);
+        let brute = BruteForce {
+            threads: 4,
+            tile: 7,
+            prune: true,
+        };
+        let first = brute.build(&sim, 3).stats;
+        for _ in 0..20 {
+            let again = brute.build(&sim, 3).stats;
+            assert_eq!(
+                (again.similarity_evals, again.pruned_evals),
+                (first.similarity_evals, first.pruned_evals)
+            );
+        }
     }
 
     #[test]

@@ -185,14 +185,119 @@ impl ListsView<'_> {
     }
 }
 
+/// Per-user id rows in one flat buffer (CSR layout): row `u` is
+/// `ids[offsets[u]..offsets[u + 1]]`. Join plans rebuild their rows every
+/// iteration into the same two allocations instead of allocating a vector
+/// per user.
+#[derive(Debug, Default)]
+pub struct FlatRows {
+    offsets: Vec<usize>,
+    ids: Vec<u32>,
+}
+
+impl FlatRows {
+    /// Drops every row, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.offsets.clear();
+        self.offsets.push(0);
+        self.ids.clear();
+    }
+
+    /// Number of closed rows.
+    pub fn len(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    /// True when no row is closed.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Row `u`.
+    pub fn row(&self, u: usize) -> &[u32] {
+        &self.ids[self.offsets[u]..self.offsets[u + 1]]
+    }
+
+    /// Row `u`, mutable (for in-place shuffles).
+    pub fn row_mut(&mut self, u: usize) -> &mut [u32] {
+        &mut self.ids[self.offsets[u]..self.offsets[u + 1]]
+    }
+
+    /// Appends ids to the open row.
+    pub fn extend_from_slice(&mut self, ids: &[u32]) {
+        self.ids.extend_from_slice(ids);
+    }
+
+    /// Appends one id to the open row.
+    pub fn push(&mut self, id: u32) {
+        self.ids.push(id);
+    }
+
+    /// Closes the open row.
+    pub fn end_row(&mut self) {
+        self.offsets.push(self.ids.len());
+    }
+
+    /// Sorts and deduplicates the open row, then closes it.
+    pub fn end_row_sorted(&mut self) {
+        let start = *self.offsets.last().expect("cleared before use");
+        self.ids[start..].sort_unstable();
+        let mut kept = start;
+        for i in start..self.ids.len() {
+            if kept == start || self.ids[i] != self.ids[kept - 1] {
+                self.ids[kept] = self.ids[i];
+                kept += 1;
+            }
+        }
+        self.ids.truncate(kept);
+        self.end_row();
+    }
+
+    /// Rebuilds `self` as the reverse of `fwd`, whose rows come in groups
+    /// of `stride` per user (row `u * stride + c` is user `u`'s row of kind
+    /// `c`): row `v * stride + c` lists every `u` whose kind-`c` row holds
+    /// `v`, in ascending `u` order (the order per-user pushes would
+    /// produce).
+    pub fn reverse_of(&mut self, fwd: &FlatRows, stride: usize) {
+        let rows = fwd.len();
+        let target = |r: usize, v: u32| v as usize * stride + r % stride;
+        // Count into offsets[t + 1], turn the counts into row starts, then
+        // fill while advancing offsets[t + 1] to the row's end — which is
+        // the next row's start.
+        self.offsets.clear();
+        self.offsets.resize(rows + 1, 0);
+        for r in 0..rows {
+            for &v in fwd.row(r) {
+                self.offsets[target(r, v) + 1] += 1;
+            }
+        }
+        let mut start = 0;
+        for slot in &mut self.offsets[1..] {
+            let count = *slot;
+            *slot = start;
+            start += count;
+        }
+        self.ids.clear();
+        self.ids.resize(fwd.ids.len(), 0);
+        for r in 0..rows {
+            for &v in fwd.row(r) {
+                let slot = &mut self.offsets[target(r, v) + 1];
+                self.ids[*slot] = (r / stride) as u32;
+                *slot += 1;
+            }
+        }
+    }
+}
+
 /// An algorithm's contribution to one refinement iteration: plan candidates
 /// from the current graph, then join pairs per user. Implemented by
 /// [`NNDescent`](crate::nndescent::NNDescent) and
 /// [`Hyrec`](crate::hyrec::Hyrec); the engine supplies everything else.
 pub trait JoinStrategy: Sync {
     /// Per-iteration candidate plan, computed sequentially and then read by
-    /// every join worker.
-    type Plan: Sync;
+    /// every join worker. One plan lives for the whole build and is rebuilt
+    /// in place each iteration, so its buffers are allocated once.
+    type Plan: Sync + Default;
     /// Per-worker mutable scratch (e.g. a visited stamp); created once per
     /// build for the serial engine and per worker for the parallel one.
     type Scratch;
@@ -200,11 +305,18 @@ pub trait JoinStrategy: Sync {
     /// Validates strategy-specific parameters; panics on invalid ones.
     fn validate(&self) {}
 
-    /// Plans this iteration's candidates from the current lists. May mutate
-    /// the lists (NNDescent clears `is_new` flags) and draw from `rng` —
-    /// this is the only place refinement consumes randomness, which is what
-    /// keeps parallel planning identical to serial.
-    fn candidates(&self, k: usize, lists: &mut ListsView<'_>, rng: &mut StdRng) -> Self::Plan;
+    /// Rebuilds `plan` with this iteration's candidates from the current
+    /// lists. May mutate the lists (NNDescent clears `is_new` flags) and
+    /// draw from `rng` — this is the only place refinement consumes
+    /// randomness, which is what keeps parallel planning identical to
+    /// serial.
+    fn candidates(
+        &self,
+        k: usize,
+        lists: &mut ListsView<'_>,
+        rng: &mut StdRng,
+        plan: &mut Self::Plan,
+    );
 
     /// Creates the scratch for a worker over a population of `n` users.
     fn scratch(&self, n: usize) -> Self::Scratch;
@@ -283,6 +395,7 @@ impl RefineEngine {
         }
         let threshold = self.delta * k as f64 * n as f64;
         let mut scratch = strategy.scratch(n);
+        let mut plan = St::Plan::default();
         let mut iterations = 0u32;
 
         while iterations < self.max_iterations {
@@ -291,10 +404,10 @@ impl RefineEngine {
             let iter_start = O::ENABLED.then(Instant::now);
             let evals_before = evals;
 
-            let plan = {
+            {
                 let _t = trace::span("phase", "candidate_generation");
-                strategy.candidates(k, &mut ListsView::Serial(&mut lists), &mut rng)
-            };
+                strategy.candidates(k, &mut ListsView::Serial(&mut lists), &mut rng, &mut plan);
+            }
             if let Some(t) = iter_start {
                 obs.on_span(Phase::CandidateGeneration, t.elapsed());
             }
@@ -333,6 +446,8 @@ impl RefineEngine {
             }
         }
 
+        // The merge reuses the plan's memory instead of adding to it.
+        drop(plan);
         let merge_start = O::ENABLED.then(Instant::now);
         let merge_trace = trace::span("phase", "merge");
         let neighbors = lists.iter().map(NeighborList::to_sorted).collect();
@@ -376,6 +491,7 @@ impl RefineEngine {
             });
         }
         let threshold = self.delta * k as f64 * n as f64;
+        let mut plan = St::Plan::default();
         let mut iterations = 0u32;
 
         while iterations < self.max_iterations {
@@ -385,10 +501,10 @@ impl RefineEngine {
             let evals_before = evals.load(Ordering::Relaxed);
 
             // Planning stays sequential and seeded; only the joins fan out.
-            let plan = {
+            {
                 let _t = trace::span("phase", "candidate_generation");
-                strategy.candidates(k, &mut ListsView::Shared(&locks), &mut rng)
-            };
+                strategy.candidates(k, &mut ListsView::Shared(&locks), &mut rng, &mut plan);
+            }
             if let Some(t) = iter_start {
                 obs.on_span(Phase::CandidateGeneration, t.elapsed());
             }
@@ -429,6 +545,8 @@ impl RefineEngine {
             }
         }
 
+        // The merge reuses the plan's memory instead of adding to it.
+        drop(plan);
         let merge_start = O::ENABLED.then(Instant::now);
         let merge_trace = trace::span("phase", "merge");
         let neighbors = locks
@@ -449,5 +567,42 @@ impl RefineEngine {
                 prep_wall: Duration::ZERO,
             },
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn rows(flat: &FlatRows) -> Vec<Vec<u32>> {
+        (0..flat.len()).map(|r| flat.row(r).to_vec()).collect()
+    }
+
+    #[test]
+    fn flat_rows_close_sorted_rows_and_reverse_by_kind() {
+        // Two kinds of row per user over three users, as NNDescent's
+        // new/old sets lay them out.
+        let mut fwd = FlatRows::default();
+        fwd.clear();
+        for row in [[2u32, 1].as_slice(), &[0], &[], &[2], &[1, 0], &[1]] {
+            fwd.extend_from_slice(row);
+            fwd.end_row();
+        }
+        let mut rev = FlatRows::default();
+        rev.reverse_of(&fwd, 2);
+        assert_eq!(
+            rows(&rev),
+            vec![vec![2], vec![0], vec![0, 2], vec![2], vec![0], vec![1]],
+            "row 2v + c lists the owners of v's kind-c rows, ascending"
+        );
+
+        let mut sets = FlatRows::default();
+        sets.clear();
+        sets.extend_from_slice(&[3, 1, 3, 2, 1]);
+        sets.end_row_sorted();
+        sets.push(7);
+        sets.end_row_sorted();
+        sets.end_row_sorted();
+        assert_eq!(rows(&sets), vec![vec![1, 2, 3], vec![7], vec![]]);
     }
 }

@@ -13,7 +13,7 @@
 //! the neighbour ids, scanned two hops out with a [`VisitStamp`] guarding
 //! against duplicate evaluations.
 
-use crate::engine::{JoinStrategy, Joiner, ListsView, RefineEngine};
+use crate::engine::{FlatRows, JoinStrategy, Joiner, ListsView, RefineEngine};
 use crate::graph::KnnResult;
 use goldfinger_core::similarity::Similarity;
 use goldfinger_core::visit::VisitStamp;
@@ -88,14 +88,22 @@ impl Hyrec {
 impl JoinStrategy for Hyrec {
     /// Snapshot of every user's neighbour ids as the iteration starts:
     /// Hyrec explores the graph as it stood, not as it mutates.
-    type Plan = Vec<Vec<u32>>;
+    type Plan = FlatRows;
     /// Visited stamp plus a candidate buffer for the batched join.
     type Scratch = (VisitStamp, Vec<u32>);
 
-    fn candidates(&self, _k: usize, lists: &mut ListsView<'_>, _rng: &mut StdRng) -> Self::Plan {
-        (0..lists.len())
-            .map(|u| lists.with(u, |l| l.users().collect()))
-            .collect()
+    fn candidates(
+        &self,
+        _k: usize,
+        lists: &mut ListsView<'_>,
+        _rng: &mut StdRng,
+        snapshot: &mut FlatRows,
+    ) {
+        snapshot.clear();
+        for u in 0..lists.len() {
+            lists.with(u, |l| l.users().for_each(|v| snapshot.push(v)));
+            snapshot.end_row();
+        }
     }
 
     fn scratch(&self, n: usize) -> Self::Scratch {
@@ -111,15 +119,15 @@ impl JoinStrategy for Hyrec {
     ) {
         stamp.next_round();
         stamp.mark(u); // never compare u with itself
-        for &v in &snapshot[u] {
+        for &v in snapshot.row(u) {
             stamp.mark(v as usize); // already a neighbour: skip
         }
         // Dedup the two-hop frontier first, then score it as one batch
         // against u — same candidates in the same order as the nested
         // per-pair loop, but through the gather kernel.
         candidates.clear();
-        for &v in &snapshot[u] {
-            for &w in &snapshot[v as usize] {
+        for &v in snapshot.row(u) {
+            for &w in snapshot.row(v as usize) {
                 if stamp.mark(w as usize) {
                     candidates.push(w);
                 }

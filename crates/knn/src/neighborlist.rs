@@ -21,10 +21,35 @@ pub struct NeighborEntry {
 ///
 /// Determinism: ties on similarity are broken towards lower user ids, so a
 /// fixed seed yields bit-identical graphs across runs.
+///
+/// Cost model: a full list caches its worst entry inline, so an offer that
+/// cannot beat it — the vast majority once a greedy build warms up — is
+/// rejected by [`NeighborList::insert`] in O(1), without touching the
+/// entry buffer. Only membership and similarity changes pay an O(k) rescan.
+/// Replacement happens in place at the worst entry's index, so entry order
+/// (which NNDescent's seeded sampling walks) is the same as with a rescan
+/// per offer.
 #[derive(Debug, Clone)]
 pub struct NeighborList {
     k: usize,
     entries: Vec<NeighborEntry>,
+    worst: Worst,
+}
+
+/// The cached worst entry of a full list (`sim = -inf` while underfull).
+#[derive(Debug, Clone, Copy)]
+struct Worst {
+    sim: f64,
+    user: u32,
+    index: u32,
+}
+
+impl Worst {
+    const NONE: Worst = Worst {
+        sim: f64::NEG_INFINITY,
+        user: u32::MAX,
+        index: 0,
+    };
 }
 
 /// What happened to an offered candidate — the eviction-reporting variant
@@ -61,6 +86,7 @@ impl NeighborList {
         NeighborList {
             k,
             entries: Vec::with_capacity(k),
+            worst: Worst::NONE,
         }
     }
 
@@ -89,8 +115,13 @@ impl NeighborList {
     /// Rejects duplicates; when full, replaces the worst entry if the
     /// candidate is strictly better (ties towards lower user id). Inserted
     /// entries carry `is_new = true`.
+    ///
+    /// A candidate that cannot beat the cached worst entry of a full list
+    /// cannot change it, duplicate or not, so that test runs first and
+    /// costs O(1); only candidates that pass it pay the membership scan.
+    #[inline]
     pub fn insert(&mut self, user: u32, sim: f64) -> bool {
-        self.offer(user, sim).accepted()
+        self.beats_worst(user, sim) && self.offer(user, sim).accepted()
     }
 
     /// [`NeighborList::insert`] with a full account of the outcome: whether
@@ -108,16 +139,18 @@ impl NeighborList {
         };
         if self.entries.len() < self.k {
             self.entries.push(entry);
+            if self.entries.len() == self.k {
+                self.refresh_worst();
+            }
             return Offer::Added;
         }
-        let worst = self.worst_index();
-        let w = self.entries[worst];
-        if sim > w.sim || (sim == w.sim && user < w.user) {
-            self.entries[worst] = entry;
-            Offer::Replaced(w.user)
-        } else {
-            Offer::Rejected
+        if !self.beats_worst(user, sim) {
+            return Offer::Rejected;
         }
+        let evicted = self.worst.user;
+        self.entries[self.worst.index as usize] = entry;
+        self.refresh_worst();
+        Offer::Replaced(evicted)
     }
 
     /// Overwrites the stored similarity of `user` in place, preserving its
@@ -130,13 +163,24 @@ impl NeighborList {
     /// replace-the-worst queue the way a remove-then-insert would.
     pub fn update_sim(&mut self, user: u32, sim: f64) -> bool {
         debug_assert!(!sim.is_nan(), "similarity must not be NaN");
-        match self.entries.iter_mut().find(|e| e.user == user) {
-            Some(e) => {
-                e.sim = sim;
-                true
+        let Some(i) = self.entries.iter().position(|e| e.user == user) else {
+            return false;
+        };
+        self.entries[i].sim = sim;
+        if self.entries.len() == self.k {
+            if i == self.worst.index as usize {
+                // The worst entry changed: it may no longer be the worst.
+                self.refresh_worst();
+            } else if !self.beats_worst(user, sim) {
+                // Another entry dropped to (or below) the worst.
+                self.worst = Worst {
+                    sim,
+                    user,
+                    index: i as u32,
+                };
             }
-            None => false,
         }
+        true
     }
 
     /// Removes `user` from the list; returns `true` if it was present.
@@ -145,20 +189,18 @@ impl NeighborList {
         match self.entries.iter().position(|e| e.user == user) {
             Some(i) => {
                 self.entries.swap_remove(i);
+                self.worst = Worst::NONE;
                 true
             }
             None => false,
         }
     }
 
-    /// Similarity of the worst entry (`-inf` when empty, so any candidate
-    /// can pass a `sim > worst` pre-check).
+    /// Similarity of the worst entry (`-inf` while the list is not full, so
+    /// any candidate can pass a `sim > worst` pre-check).
+    #[inline]
     pub fn worst_sim(&self) -> f64 {
-        if self.entries.len() < self.k {
-            f64::NEG_INFINITY
-        } else {
-            self.entries[self.worst_index()].sim
-        }
+        self.worst.sim
     }
 
     /// Entries, unsorted.
@@ -166,9 +208,16 @@ impl NeighborList {
         &self.entries
     }
 
-    /// Mutable entries (for flag bookkeeping).
-    pub fn entries_mut(&mut self) -> &mut [NeighborEntry] {
-        &mut self.entries
+    /// Clears the `is_new` flag of the entry at `index` (NNDescent marks an
+    /// entry once it has taken part in a local join). Flags are the only
+    /// per-entry state callers may change directly: similarities change
+    /// through [`NeighborList::update_sim`], which keeps the cached worst
+    /// entry in step.
+    ///
+    /// # Panics
+    /// Panics if `index >= len()`.
+    pub fn mark_joined(&mut self, index: usize) {
+        self.entries[index].is_new = false;
     }
 
     /// Neighbour ids, unsorted.
@@ -196,7 +245,22 @@ impl NeighborList {
         out
     }
 
-    fn worst_index(&self) -> usize {
+    /// True when `(user, sim)` would displace the worst entry: always for
+    /// an underfull list, else strictly better or tied towards a lower id.
+    #[inline]
+    fn beats_worst(&self, user: u32, sim: f64) -> bool {
+        let w = self.worst;
+        self.entries.len() < self.k || sim > w.sim || (sim == w.sim && user < w.user)
+    }
+
+    /// Recomputes the cached worst entry after a membership or similarity
+    /// change: the lowest similarity, ties towards the higher user id (ids
+    /// are distinct, so the worst entry is unique).
+    fn refresh_worst(&mut self) {
+        if self.entries.len() < self.k {
+            self.worst = Worst::NONE;
+            return;
+        }
         let mut worst = 0usize;
         for (i, e) in self.entries.iter().enumerate().skip(1) {
             let w = &self.entries[worst];
@@ -204,7 +268,12 @@ impl NeighborList {
                 worst = i;
             }
         }
-        worst
+        let w = self.entries[worst];
+        self.worst = Worst {
+            sim: w.sim,
+            user: w.user,
+            index: worst as u32,
+        };
     }
 }
 
@@ -274,7 +343,7 @@ mod tests {
         let mut l = NeighborList::new(2);
         l.insert(1, 0.5);
         l.insert(2, 0.8);
-        l.entries_mut()[0].is_new = false;
+        l.mark_joined(0);
         assert!(l.update_sim(1, 0.1));
         assert!(!l.update_sim(9, 0.7), "absent user cannot be updated");
         let e = l.entries().iter().find(|e| e.user == 1).unwrap();
@@ -283,6 +352,28 @@ mod tests {
         assert_eq!(l.len(), 2);
         // The downgraded entry is now the worst and loses to a fresh offer.
         assert_eq!(l.offer(3, 0.4), Offer::Replaced(1));
+    }
+
+    #[test]
+    fn cached_worst_follows_every_change() {
+        let mut l = NeighborList::new(3);
+        l.insert(1, 0.5);
+        l.insert(2, 0.8);
+        assert_eq!(l.worst_sim(), f64::NEG_INFINITY, "underfull");
+        l.insert(3, 0.6);
+        assert_eq!(l.worst_sim(), 0.5, "the filling push caches the worst");
+        assert!(!l.insert(4, 0.4), "below the worst: rejected in O(1)");
+        assert_eq!(l.offer(2, 0.9), Offer::Duplicate, "members stay duplicates");
+        assert_eq!(l.offer(5, 0.7), Offer::Replaced(1));
+        assert_eq!(l.entries()[0].user, 5, "replacement stays in place");
+        assert_eq!(l.worst_sim(), 0.6);
+        assert!(l.update_sim(2, 0.1));
+        assert_eq!(l.worst_sim(), 0.1, "a member dropped below the worst");
+        assert!(l.update_sim(2, 0.95));
+        assert_eq!(l.worst_sim(), 0.6, "the worst member improved");
+        assert!(l.remove(3));
+        assert_eq!(l.worst_sim(), f64::NEG_INFINITY, "underfull again");
+        assert!(l.insert(6, 0.0), "an underfull list admits anything");
     }
 
     #[test]
@@ -323,7 +414,7 @@ mod tests {
         let mut l = NeighborList::new(2);
         l.insert(1, 0.5);
         assert!(l.entries()[0].is_new);
-        l.entries_mut()[0].is_new = false;
+        l.mark_joined(0);
         assert!(!l.entries()[0].is_new);
     }
 

@@ -12,7 +12,7 @@
 //! contributes the NNDescent [`JoinStrategy`]: sampled new/old neighbour
 //! sets (forward and reverse) per user, joined new×new and new×old.
 
-use crate::engine::{JoinStrategy, Joiner, ListsView, RefineEngine};
+use crate::engine::{FlatRows, JoinStrategy, Joiner, ListsView, RefineEngine};
 use crate::graph::KnnResult;
 use goldfinger_core::similarity::Similarity;
 use goldfinger_obs::{BuildObserver, NoopObserver};
@@ -92,11 +92,23 @@ impl NNDescent {
 
 /// One iteration's sampled join sets: for every user, the "new" neighbours
 /// (taking part in a join for the first time, forward + sampled reverse)
-/// and the "old" ones.
+/// and the "old" ones. Each stage lives in one flat [`FlatRows`] buffer that
+/// is rebuilt in place each iteration, with a user's new and old rows side
+/// by side (rows `2u` and `2u + 1`): the two kinds share one allocation, so
+/// as the new share shrinks and the old share grows over the iterations the
+/// buffers stay the size of one iteration's sets.
+#[derive(Debug, Default)]
 pub struct NNDescentPlan {
-    new_sets: Vec<Vec<u32>>,
-    old_sets: Vec<Vec<u32>>,
+    /// Forward sets: the sampled new and the old entries of each list.
+    fwd: FlatRows,
+    /// Reverse sets: who holds `v` as a new / an old neighbour.
+    rev: FlatRows,
+    /// Join sets: forward plus a sample of reverse, sorted and deduplicated.
+    sets: FlatRows,
 }
+
+/// Rows per user in an [`NNDescentPlan`] buffer: new, then old.
+const KINDS: usize = 2;
 
 impl JoinStrategy for NNDescent {
     type Plan = NNDescentPlan;
@@ -110,78 +122,69 @@ impl JoinStrategy for NNDescent {
         );
     }
 
-    fn candidates(&self, k: usize, lists: &mut ListsView<'_>, rng: &mut StdRng) -> NNDescentPlan {
+    fn candidates(
+        &self,
+        k: usize,
+        lists: &mut ListsView<'_>,
+        rng: &mut StdRng,
+        plan: &mut NNDescentPlan,
+    ) {
         let n = lists.len();
         let sample_cap = ((k as f64 * self.sample_rate).ceil() as usize).max(1);
+        let NNDescentPlan { fwd, rev, sets } = plan;
 
         // Phase 1: split each list into sampled-new and old, flag the
         // sampled entries as no-longer-new (they join this round).
-        let mut new_fwd: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut old_fwd: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut fresh: Vec<usize> = Vec::with_capacity(k);
+        let mut sampled: Vec<bool> = Vec::with_capacity(k);
+        fwd.clear();
         for u in 0..n {
             lists.with(u, |list| {
-                let mut fresh: Vec<usize> = list
-                    .entries()
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| e.is_new)
-                    .map(|(i, _)| i)
-                    .collect();
+                fresh.clear();
+                fresh.extend(
+                    list.entries()
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, e)| e.is_new)
+                        .map(|(i, _)| i),
+                );
                 fresh.shuffle(rng);
                 fresh.truncate(sample_cap);
                 // Partition by sampled *index* rather than scanning the
                 // sampled set per entry (which was O(k²) per user).
-                let mut sampled = vec![false; list.entries().len()];
+                sampled.clear();
+                sampled.resize(list.len(), false);
                 for &i in &fresh {
                     sampled[i] = true;
-                    let e = &mut list.entries_mut()[i];
-                    e.is_new = false;
-                    new_fwd[u].push(e.user);
+                    list.mark_joined(i);
+                    fwd.push(list.entries()[i].user);
                 }
-                for (i, e) in list.entries().iter().enumerate() {
-                    if !sampled[i] {
-                        old_fwd[u].push(e.user);
+                fwd.end_row();
+                for (e, &s) in list.entries().iter().zip(&sampled) {
+                    if !s {
+                        fwd.push(e.user);
                     }
                 }
+                fwd.end_row();
             });
         }
 
         // Phase 2: reverse lists.
-        let mut new_rev: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut old_rev: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for u in 0..n {
-            for &v in &new_fwd[u] {
-                new_rev[v as usize].push(u as u32);
-            }
-            for &v in &old_fwd[u] {
-                old_rev[v as usize].push(u as u32);
-            }
-        }
+        rev.reverse_of(fwd, KINDS);
 
         // Per-user join sets: forward plus a sample of reverse, deduplicated.
         // (Joins never draw from the RNG, so computing every set up front
         // performs the exact draw sequence of the historical interleaved
-        // loop — the serial output stays bit-identical.)
-        let mut new_sets: Vec<Vec<u32>> = Vec::with_capacity(n);
-        let mut old_sets: Vec<Vec<u32>> = Vec::with_capacity(n);
-        for u in 0..n {
-            let mut new_set = new_fwd[u].clone();
-            new_rev[u].shuffle(rng);
-            new_rev[u].truncate(sample_cap);
-            new_set.extend_from_slice(&new_rev[u]);
-            new_set.sort_unstable();
-            new_set.dedup();
-            new_sets.push(new_set);
-
-            let mut old_set = old_fwd[u].clone();
-            old_rev[u].shuffle(rng);
-            old_rev[u].truncate(sample_cap);
-            old_set.extend_from_slice(&old_rev[u]);
-            old_set.sort_unstable();
-            old_set.dedup();
-            old_sets.push(old_set);
+        // loop — the serial output stays bit-identical.) Rows run new, old
+        // for each user in turn, which is that sequence's shuffle order.
+        sets.clear();
+        for r in 0..KINDS * n {
+            let reverse = rev.row_mut(r);
+            reverse.shuffle(rng);
+            sets.extend_from_slice(fwd.row(r));
+            sets.extend_from_slice(&reverse[..reverse.len().min(sample_cap)]);
+            sets.end_row_sorted();
         }
-        NNDescentPlan { new_sets, old_sets }
     }
 
     fn scratch(&self, _n: usize) -> Self::Scratch {
@@ -195,8 +198,8 @@ impl JoinStrategy for NNDescent {
         scratch: &mut Self::Scratch,
         joiner: &mut J,
     ) {
-        let new_set = &plan.new_sets[u];
-        let old_set = &plan.old_sets[u];
+        let new_set = plan.sets.row(KINDS * u);
+        let old_set = plan.sets.row(KINDS * u + 1);
         // new × new (exploit id order to join each pair once): each a_i is
         // batched against the tail of the set — same pairs, same order as
         // the nested per-pair loop, scored through the gather kernel.

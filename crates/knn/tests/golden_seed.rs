@@ -3,8 +3,11 @@
 //! can prove themselves behavior-preserving.
 //!
 //! For each `(builder, provider)` combination with a deterministic
-//! configuration (fixed seeds, serial joins — plus the parallel paths that
-//! are bit-identical by construction: Brute Force and LSH), the test
+//! configuration (fixed seeds, serial joins — plus the parallel paths whose
+//! output does not depend on scheduling: LSH, Cluster and Brute Force,
+//! whose graph is bit-identical by construction and whose evaluated/pruned
+//! split depends on the thread count only, because tile cells are dealt to
+//! worker slots statically, so `brute/t4` pins counters of its own), the test
 //! computes a 64-bit FNV-1a digest over the full graph — every `(user,
 //! neighbour, similarity-bits)` triple in order — together with the exact
 //! `BuildStats` counters, and compares them against constants captured

@@ -12,6 +12,7 @@ use goldfinger_knn::graph::KnnGraph;
 use goldfinger_knn::hyrec::Hyrec;
 use goldfinger_knn::lsh::Lsh;
 use goldfinger_knn::metrics::{average_similarity, edge_recall};
+use goldfinger_knn::neighborlist::{NeighborEntry, NeighborList, Offer};
 use goldfinger_knn::nndescent::NNDescent;
 use proptest::prelude::*;
 
@@ -248,6 +249,125 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+}
+
+/// The reference [`NeighborList`]: no cached state, every query answered
+/// by a linear scan of the entries.
+struct NaiveList {
+    k: usize,
+    entries: Vec<NeighborEntry>,
+}
+
+impl NaiveList {
+    fn worst_index(&self) -> usize {
+        let mut worst = 0;
+        for (i, e) in self.entries.iter().enumerate().skip(1) {
+            let w = &self.entries[worst];
+            if e.sim < w.sim || (e.sim == w.sim && e.user > w.user) {
+                worst = i;
+            }
+        }
+        worst
+    }
+
+    fn worst_sim(&self) -> f64 {
+        if self.entries.len() < self.k {
+            f64::NEG_INFINITY
+        } else {
+            self.entries[self.worst_index()].sim
+        }
+    }
+
+    fn offer(&mut self, user: u32, sim: f64) -> Offer {
+        if self.entries.iter().any(|e| e.user == user) {
+            return Offer::Duplicate;
+        }
+        let entry = NeighborEntry {
+            sim,
+            user,
+            is_new: true,
+        };
+        if self.entries.len() < self.k {
+            self.entries.push(entry);
+            return Offer::Added;
+        }
+        let worst = self.worst_index();
+        let w = self.entries[worst];
+        if sim > w.sim || (sim == w.sim && user < w.user) {
+            self.entries[worst] = entry;
+            Offer::Replaced(w.user)
+        } else {
+            Offer::Rejected
+        }
+    }
+
+    fn update_sim(&mut self, user: u32, sim: f64) -> bool {
+        match self.entries.iter_mut().find(|e| e.user == user) {
+            Some(e) => {
+                e.sim = sim;
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn remove(&mut self, user: u32) -> bool {
+        match self.entries.iter().position(|e| e.user == user) {
+            Some(i) => {
+                self.entries.swap_remove(i);
+                true
+            }
+            None => false,
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Model check of the cached-worst list: random operation sequences
+    /// over a small id range with coarse similarities (so ties and
+    /// duplicates are frequent) give the same return values, the same
+    /// entry order and flags, and the same worst similarity as the
+    /// linear-scan reference after every step.
+    #[test]
+    fn neighbor_list_matches_the_linear_scan_model(
+        k in 1usize..6,
+        ops in proptest::collection::vec((0u8..6, 0u32..12, 0u8..5), 0..120),
+    ) {
+        let mut list = NeighborList::new(k);
+        let mut model = NaiveList { k, entries: Vec::new() };
+        for (step, &(op, user, level)) in ops.iter().enumerate() {
+            let sim = level as f64 / 4.0;
+            match op {
+                0 | 1 => prop_assert_eq!(
+                    list.insert(user, sim),
+                    model.offer(user, sim).accepted(),
+                    "step {}: insert", step
+                ),
+                2 => prop_assert_eq!(
+                    list.offer(user, sim),
+                    model.offer(user, sim),
+                    "step {}: offer", step
+                ),
+                3 => prop_assert_eq!(
+                    list.update_sim(user, sim),
+                    model.update_sim(user, sim),
+                    "step {}: update_sim", step
+                ),
+                4 => prop_assert_eq!(list.remove(user), model.remove(user), "step {}: remove", step),
+                _ => {
+                    if !model.entries.is_empty() {
+                        let i = user as usize % model.entries.len();
+                        list.mark_joined(i);
+                        model.entries[i].is_new = false;
+                    }
+                }
+            }
+            prop_assert_eq!(list.entries(), &model.entries[..], "step {}: entries", step);
+            prop_assert_eq!(list.worst_sim(), model.worst_sim(), "step {}: worst_sim", step);
         }
     }
 }

@@ -14,7 +14,7 @@
 //! similarity approximation (see the multi-hash ablation in
 //! `goldfinger-bench`).
 
-use crate::arena::{row_words_for, AlignedWords, ArenaBackend};
+use crate::arena::{row_words_for, AlignedWords, ArenaBackend, LINE_WORDS};
 use crate::bits::BitArray;
 use crate::hash::{DynHasher, ItemHasher};
 use crate::kernels;
@@ -678,6 +678,20 @@ impl ShfStore {
     pub fn fingerprint_words(&self, u: u32) -> &[u64] {
         let start = u as usize * self.row_words;
         &self.data[start..start + self.words_per_fp]
+    }
+
+    /// Starts loading fingerprint `u`'s row into cache without waiting for
+    /// it (a no-op where the architecture has no prefetch hint). A caller
+    /// that learns a batch of scattered ids before scoring them can issue
+    /// this per id as it collects them, so the row misses overlap instead
+    /// of being paid one at a time inside the gather kernel. An
+    /// out-of-range `u` is ignored.
+    #[inline]
+    pub fn prefetch_row(&self, u: u32) {
+        let start = u as usize * self.row_words;
+        for line in (0..self.words_per_fp).step_by(LINE_WORDS) {
+            kernels::prefetch(&self.data, start + line);
+        }
     }
 
     /// Cached cardinality of fingerprint `u`.

@@ -38,16 +38,13 @@ fn corrupt(msg: impl Into<String>) -> DecodeError {
     DecodeError::Corrupt(msg.into())
 }
 
-/// Writes `v` in LEB128 (7 bits per byte, little-endian groups).
-fn write_uvarint(w: &mut impl Write, mut v: u64) -> io::Result<()> {
-    loop {
-        let byte = (v & 0x7F) as u8;
+/// Appends `v` in LEB128 (7 bits per byte, little-endian groups).
+fn push_uvarint(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push((v & 0x7F) as u8 | 0x80);
         v >>= 7;
-        if v == 0 {
-            return w.write_all(&[byte]);
-        }
-        w.write_all(&[byte | 0x80])?;
     }
+    buf.push(v as u8);
 }
 
 /// Reads a LEB128 integer (rejects encodings longer than 10 bytes).
@@ -184,6 +181,8 @@ pub struct SegmentWriter<W: Write> {
     n_users: u64,
     pushed: u64,
     exact_sims: bool,
+    /// One list's encoding, reused so each list is a single write.
+    buf: Vec<u8>,
 }
 
 impl<W: Write> SegmentWriter<W> {
@@ -209,6 +208,7 @@ impl<W: Write> SegmentWriter<W> {
             n_users,
             pushed: 0,
             exact_sims,
+            buf: Vec::new(),
         })
     }
 
@@ -222,21 +222,23 @@ impl<W: Write> SegmentWriter<W> {
         assert!(self.pushed < self.n_users, "segment already full");
         assert!(list.len() <= self.k, "list exceeds k");
         self.pushed += 1;
-        write_uvarint(&mut self.w, list.len() as u64)?;
+        let buf = &mut self.buf;
+        buf.clear();
+        push_uvarint(buf, list.len() as u64);
         let mut prev = 0i64;
         for s in list {
             let id = i64::from(s.user);
-            write_uvarint(&mut self.w, zigzag(id - prev))?;
+            push_uvarint(buf, zigzag(id - prev));
             prev = id;
         }
         for s in list {
             if self.exact_sims {
-                self.w.write_all(&s.sim.to_le_bytes())?;
+                buf.extend_from_slice(&s.sim.to_le_bytes());
             } else {
-                self.w.write_all(&(s.sim as f32).to_le_bytes())?;
+                buf.extend_from_slice(&(s.sim as f32).to_le_bytes());
             }
         }
-        Ok(())
+        self.w.write_all(buf)
     }
 
     /// Flushes and returns the underlying writer.
@@ -288,16 +290,16 @@ impl Segment {
         self.exact_sims
     }
 
-    /// The decoded neighbour list of local user `u` (0-based within the
-    /// segment), as [`Scored`] entries with global ids.
-    pub fn list(&self, u: usize) -> Vec<Scored> {
-        let lo = self.offsets[u] as usize;
-        let hi = self.offsets[u + 1] as usize;
-        self.ids[lo..hi]
-            .iter()
-            .zip(&self.sims[lo..hi])
-            .map(|(&user, &sim)| Scored { sim, user })
-            .collect()
+    /// Neighbour ids (global) of local user `u` (0-based within the
+    /// segment), most similar first.
+    pub fn neighbor_ids(&self, u: usize) -> &[u32] {
+        &self.ids[self.offsets[u] as usize..self.offsets[u + 1] as usize]
+    }
+
+    /// Neighbour similarities of local user `u`, aligned with
+    /// [`Segment::neighbor_ids`].
+    pub fn neighbor_sims(&self, u: usize) -> &[f64] {
+        &self.sims[self.offsets[u] as usize..self.offsets[u + 1] as usize]
     }
 
     /// Appends every list of this segment into a [`CsrBuilder`] — the
@@ -306,10 +308,8 @@ impl Segment {
     pub fn append_into(&self, builder: &mut CsrBuilder) {
         let mut list = Vec::with_capacity(self.k);
         for u in 0..self.n_users() {
-            let lo = self.offsets[u] as usize;
-            let hi = self.offsets[u + 1] as usize;
             list.clear();
-            for (&user, &sim) in self.ids[lo..hi].iter().zip(&self.sims[lo..hi]) {
+            for (&user, &sim) in self.neighbor_ids(u).iter().zip(self.neighbor_sims(u)) {
                 list.push(Scored { sim, user });
             }
             builder.push_list(&list);
@@ -507,10 +507,11 @@ mod tests {
         let seg = read_segment(&mut buf.as_slice(), n).unwrap();
         assert!(!seg.exact_sims());
         for u in 0..g.n_users() {
-            let list = seg.list(u);
-            for (got, orig) in list.iter().zip(g.neighbors(u as u32)) {
-                assert_eq!(got.user, orig.user);
-                assert_eq!(got.sim, f64::from(orig.sim as f32));
+            let orig = g.neighbors(u as u32);
+            let ids: Vec<u32> = orig.iter().map(|s| s.user).collect();
+            assert_eq!(seg.neighbor_ids(u), &ids[..]);
+            for (&got, o) in seg.neighbor_sims(u).iter().zip(orig) {
+                assert_eq!(got, f64::from(o.sim as f32));
             }
         }
         // The compact form is smaller than the exact form.
@@ -523,7 +524,7 @@ mod tests {
     fn varint_and_zigzag_round_trip() {
         for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
             let mut buf = Vec::new();
-            write_uvarint(&mut buf, v).unwrap();
+            push_uvarint(&mut buf, v);
             assert_eq!(read_uvarint(&mut buf.as_slice()).unwrap(), v);
         }
         for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN] {

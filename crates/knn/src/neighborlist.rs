@@ -24,8 +24,9 @@ pub struct NeighborEntry {
 ///
 /// Cost model: a full list caches its worst entry inline, so an offer that
 /// cannot beat it — the vast majority once a greedy build warms up — is
-/// rejected by [`NeighborList::insert`] in O(1), without touching the
-/// entry buffer. Only membership and similarity changes pay an O(k) rescan.
+/// rejected in O(1), without touching the entry buffer. Only candidates
+/// that pass that test pay the O(k) membership scan, and only membership
+/// and similarity changes pay an O(k) rescan.
 /// Replacement happens in place at the worst entry's index, so entry order
 /// (which NNDescent's seeded sampling walks) is the same as with a rescan
 /// per offer.
@@ -58,9 +59,11 @@ impl Worst {
 /// inverted index can be updated without rescanning the list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Offer {
-    /// The candidate was already present; the list is unchanged.
+    /// The candidate was already present; the list is unchanged. On a
+    /// full list only a member that beats the worst entry reports this.
     Duplicate,
-    /// The list was full and the candidate did not beat the worst entry.
+    /// The list was full and the candidate, member or not, did not beat
+    /// the worst entry.
     Rejected,
     /// The candidate was appended to a non-full list.
     Added,
@@ -115,20 +118,27 @@ impl NeighborList {
     /// Rejects duplicates; when full, replaces the worst entry if the
     /// candidate is strictly better (ties towards lower user id). Inserted
     /// entries carry `is_new = true`.
-    ///
-    /// A candidate that cannot beat the cached worst entry of a full list
-    /// cannot change it, duplicate or not, so that test runs first and
-    /// costs O(1); only candidates that pass it pay the membership scan.
     #[inline]
     pub fn insert(&mut self, user: u32, sim: f64) -> bool {
+        // `offer` starts with the same O(1) test; repeating it here keeps
+        // the rejection path, the common one in a warm greedy build,
+        // inlined at the call site instead of behind a call.
         self.beats_worst(user, sim) && self.offer(user, sim).accepted()
     }
 
     /// [`NeighborList::insert`] with a full account of the outcome: whether
-    /// the candidate was a duplicate, was rejected, was appended, or
+    /// the candidate was rejected, was a duplicate, was appended, or
     /// replaced (and if so, whom it evicted).
+    ///
+    /// A candidate that cannot beat the cached worst entry of a full list
+    /// cannot change it, member or not, so that O(1) test runs first and
+    /// answers [`Offer::Rejected`] even for a member; only candidates that
+    /// pass it pay the membership scan that answers [`Offer::Duplicate`].
     pub fn offer(&mut self, user: u32, sim: f64) -> Offer {
         debug_assert!(!sim.is_nan(), "similarity must not be NaN");
+        if !self.beats_worst(user, sim) {
+            return Offer::Rejected;
+        }
         if self.contains(user) {
             return Offer::Duplicate;
         }
@@ -143,9 +153,6 @@ impl NeighborList {
                 self.refresh_worst();
             }
             return Offer::Added;
-        }
-        if !self.beats_worst(user, sim) {
-            return Offer::Rejected;
         }
         let evicted = self.worst.user;
         self.entries[self.worst.index as usize] = entry;
@@ -363,7 +370,12 @@ mod tests {
         l.insert(3, 0.6);
         assert_eq!(l.worst_sim(), 0.5, "the filling push caches the worst");
         assert!(!l.insert(4, 0.4), "below the worst: rejected in O(1)");
-        assert_eq!(l.offer(2, 0.9), Offer::Duplicate, "members stay duplicates");
+        assert_eq!(
+            l.offer(2, 0.9),
+            Offer::Duplicate,
+            "a member above the worst"
+        );
+        assert_eq!(l.offer(2, 0.2), Offer::Rejected, "a member below the worst");
         assert_eq!(l.offer(5, 0.7), Offer::Replaced(1));
         assert_eq!(l.entries()[0].user, 5, "replacement stays in place");
         assert_eq!(l.worst_sim(), 0.6);

@@ -16,19 +16,22 @@
 //!    arena lives on the spill backend, and recording each user's
 //!    per-table MinHash key ([`crate::lsh::bucket_key`]) in a spilled
 //!    key arena. Peak memory: one profile + one ingest batch.
-//! 2. **Index** — per table, sort the `(key, user)` pairs into two
-//!    spilled arrays; a bucket is a run of equal keys, found by binary
-//!    search. Users enter in ascending id order and the sort is stable,
-//!    so in-bucket order matches the `HashMap<_, Vec<u32>>` insertion
-//!    order of the in-RAM LSH — the determinism contract.
+//! 2. **Index** — per table, stable-sort the `(key, user)` pairs and
+//!    keep the sorted users in one spilled array; a bucket is a run of
+//!    equal keys. Each user's key word is then overwritten with its run's
+//!    packed `[start, end)`, so the scan resolves a bucket with one
+//!    load. Users enter in ascending id order and the sort is stable, so
+//!    in-bucket order matches the `HashMap<_, Vec<u32>>` insertion order
+//!    of the in-RAM LSH — the determinism contract.
 //! 3. **Scan** — users are partitioned into contiguous shards; each
 //!    shard scans its users' buckets across all tables (visit-stamp
-//!    deduplicated, exactly the LSH candidate sequence), scores
+//!    deduplicated, exactly the LSH candidate sequence), prefetching each
+//!    new candidate's fingerprint row as it is collected, scores the
 //!    candidates through the batched gather kernels, and streams its
 //!    top-k lists into an on-disk `GFCS` segment
-//!    ([`crate::csr::SegmentWriter`]). After a shard, the arena and key
-//!    pages it touched are advised cold, bounding resident growth to
-//!    roughly one shard's working set.
+//!    ([`crate::csr::SegmentWriter`]). After a shard, the arena and
+//!    index pages it touched are advised cold, bounding resident growth
+//!    to roughly one shard's working set.
 //! 4. **Stitch** — segments are replayed in shard order into a
 //!    [`CsrBuilder`] ([`build`]) or streamed straight into a `GFG1`
 //!    graph file ([`build_to_disk`]), which never materializes the full
@@ -37,6 +40,7 @@
 use crate::csr::{read_segment, SegmentWriter};
 use crate::graph::{CsrBuilder, KnnGraph};
 use crate::lsh::{bucket_key, table_seed};
+use crate::serial;
 use goldfinger_core::arena::ArenaBackend;
 use goldfinger_core::hash::ItemHasher;
 use goldfinger_core::profile::ProfileSource;
@@ -69,9 +73,9 @@ pub struct OocConfig {
     /// Target peak RSS in bytes (`0` = unbounded). Drives shard
     /// auto-derivation; the CI gate checks the measured peak against it.
     pub mem_budget: u64,
-    /// Directory for spilled state (arena, key arrays, graph segments).
+    /// Directory for spilled state (arena, bucket index, graph segments).
     pub spill_dir: PathBuf,
-    /// Spill the fingerprint arena and key/index arrays to mapped files
+    /// Spill the fingerprint arena and bucket-index arrays to mapped files
     /// (Linux only). With `false` they stay on the heap — the pipeline
     /// still shards and still writes graph segments to disk.
     pub spill: bool,
@@ -134,7 +138,7 @@ pub struct OocStats {
     pub associations: u64,
     /// Fingerprint-arena size in bytes (padded rows).
     pub arena_bytes: u64,
-    /// Bytes written to spill files (arena + keys + index + segments).
+    /// Bytes written to spill files (arena + bucket index + segments).
     pub spilled_bytes: u64,
     /// Arena backend actually used (`"heap"` / `"mmap"`).
     pub backend: &'static str,
@@ -155,12 +159,14 @@ pub struct OocStats {
 /// The spilled state shared by the scan phase.
 struct OocState {
     store: ShfStore,
-    /// Per-table MinHash keys, `keys[t * n + u]` (undefined where
-    /// `cardinality(u) == 0` — empty profiles hash nowhere).
-    keys: ArenaBackend,
-    /// Per-table sorted bucket index: `(index_keys[t], index_users[t])`
-    /// aligned pairs sorted by key (stable ⇒ users ascending per key).
-    index_keys: Vec<ArenaBackend>,
+    /// Per-table bucket runs, `ranges[t * n + u]`: user `u`'s bucket in
+    /// table `t` as a [`pack_range`]d `[start, end)` into `index_users[t]`
+    /// (empty for empty profiles, which hash nowhere). During the
+    /// fingerprint phase the same words hold the raw MinHash keys; the
+    /// index phase overwrites each with its run once the table is sorted.
+    ranges: ArenaBackend,
+    /// Per-table bucket members: users sorted by bucket key (stable ⇒
+    /// ascending ids inside a bucket).
     index_users: Vec<ArenaBackend>,
 }
 
@@ -168,9 +174,8 @@ impl OocState {
     /// Evicts every resident spill page (no-op on heap backends).
     fn advise_all_cold(&self) -> io::Result<()> {
         self.store.advise_cold_rows(0, self.store.len())?;
-        self.keys.advise_cold(0, self.keys.len())?;
-        for (k, u) in self.index_keys.iter().zip(&self.index_users) {
-            k.advise_cold(0, k.len())?;
+        self.ranges.advise_cold(0, self.ranges.len())?;
+        for u in &self.index_users {
             u.advise_cold(0, u.len())?;
         }
         Ok(())
@@ -178,8 +183,7 @@ impl OocState {
 
     fn spilled_bytes(&self) -> u64 {
         let words = self.store.arena_words().len()
-            + self.keys.len()
-            + self.index_keys.iter().map(|a| a.len()).sum::<usize>()
+            + self.ranges.len()
             + self.index_users.iter().map(|a| a.len()).sum::<usize>();
         if self.store.is_spilled() {
             words as u64 * 8
@@ -187,6 +191,26 @@ impl OocState {
             0
         }
     }
+
+    /// User `u`'s bucket run in table `t`: the members, in index order.
+    #[inline]
+    fn bucket(&self, t: usize, u: u32) -> &[u64] {
+        let (start, end) = unpack_range(self.ranges[t * self.store.len() + u as usize]);
+        &self.index_users[t][start..end]
+    }
+}
+
+/// Packs a bucket run `[start, end)` into one word (`start` high, `end`
+/// low). Index positions are below the user count, so both fit in `u32`.
+#[inline]
+fn pack_range(start: usize, end: usize) -> u64 {
+    ((start as u64) << 32) | end as u64
+}
+
+/// Inverse of [`pack_range`].
+#[inline]
+fn unpack_range(w: u64) -> (usize, usize) {
+    ((w >> 32) as usize, (w & u64::from(u32::MAX)) as usize)
 }
 
 /// Allocates a words arena on the configured backend.
@@ -207,6 +231,12 @@ fn prepare<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
     stats: &mut OocStats,
 ) -> io::Result<OocState> {
     let n = source.n_users();
+    // User ids are `u32`, and every bucket-run end (at most `n`) must fit
+    // the 32-bit half of a packed range.
+    assert!(
+        u32::try_from(n).is_ok(),
+        "{n} users exceed the u32 id space"
+    );
 
     // Fingerprint + keys in one streaming pass over the profiles.
     let t0 = Instant::now();
@@ -239,44 +269,51 @@ fn prepare<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
     writer.ingest_batch(&batch, params.hasher());
     drop(batch);
     let store = writer.finish();
-    keys.sync()?;
     drop(_span);
     stats.fingerprint_wall = t0.elapsed();
 
-    // Sort each table's (key, user) pairs into the spilled bucket index.
-    // The transient sort buffer is the memory peak of this phase — one
-    // table at a time, freed before the next.
+    // Sort each table's (key, user) pairs into the spilled bucket index,
+    // then overwrite every user's key with its bucket's run, so the scan
+    // finds a bucket with one load instead of a binary search. The
+    // transient sort buffer is the memory peak of this phase — one table
+    // at a time, freed before the next.
     let t1 = Instant::now();
     let _span = trace::span_arg("phase", "ooc_index", cfg.tables as u64);
-    let mut index_keys = Vec::with_capacity(cfg.tables);
     let mut index_users = Vec::with_capacity(cfg.tables);
     for t in 0..cfg.tables {
-        let mut pairs: Vec<(u64, u32)> = (0..n as u32)
-            .filter(|&u| store.cardinality(u) != 0)
-            .map(|u| (keys[t * n + u as usize], u))
-            .collect();
+        let row = &mut keys[t * n..(t + 1) * n];
+        let mut pairs: Vec<(u64, u32)> = Vec::with_capacity(n);
+        for (u, slot) in row.iter_mut().enumerate() {
+            if store.cardinality(u as u32) == 0 {
+                *slot = pack_range(0, 0);
+            } else {
+                pairs.push((*slot, u as u32));
+            }
+        }
         // Stable by key: equal-key users stay in ascending-id order,
         // matching the insertion order of the in-RAM bucket vectors.
         pairs.sort_by_key(|&(key, _)| key);
-        let mut ik = make_arena(cfg, &format!("index-keys-{t}.words"), pairs.len())?;
         let mut iu = make_arena(cfg, &format!("index-users-{t}.words"), pairs.len())?;
-        for (i, &(key, u)) in pairs.iter().enumerate() {
-            ik[i] = key;
-            iu[i] = u as u64;
+        let mut start = 0;
+        for run in pairs.chunk_by(|a, b| a.0 == b.0) {
+            let range = pack_range(start, start + run.len());
+            for (i, &(_, u)) in run.iter().enumerate() {
+                iu[start + i] = u64::from(u);
+                row[u as usize] = range;
+            }
+            start += run.len();
         }
-        ik.sync()?;
         iu.sync()?;
-        index_keys.push(ik);
         index_users.push(iu);
     }
+    keys.sync()?;
     stats.index_wall = t1.elapsed();
 
     stats.n_users = n;
     stats.backend = store.backend_kind();
     Ok(OocState {
         store,
-        keys,
-        index_keys,
+        ranges: keys,
         index_users,
     })
 }
@@ -293,7 +330,6 @@ fn scan_shard(
     seg_path: &Path,
 ) -> io::Result<u64> {
     let _span = trace::span_arg("phase", "ooc_shard", shard as u64);
-    let n = state.store.len();
     let file = BufWriter::new(File::create(seg_path)?);
     let mut seg = SegmentWriter::new(
         file,
@@ -309,19 +345,16 @@ fn scan_shard(
         stamp.next_round();
         stamp.mark(u as usize);
         candidates.clear();
-        if state.store.cardinality(u) != 0 {
-            for t in 0..cfg.tables {
-                let key = state.keys[t * n + u as usize];
-                let ik: &[u64] = &state.index_keys[t];
-                let start = ik.partition_point(|&x| x < key);
-                let end = ik.partition_point(|&x| x <= key);
-                if cfg.max_bucket != 0 && end - start > cfg.max_bucket {
-                    continue; // capped: this bucket is too hot to scan
-                }
-                for &v in &state.index_users[t][start..end] {
-                    if stamp.mark(v as usize) {
-                        candidates.push(v as u32);
-                    }
+        for t in 0..cfg.tables {
+            let bucket = state.bucket(t, u);
+            if cfg.max_bucket != 0 && bucket.len() > cfg.max_bucket {
+                continue; // capped: this bucket is too hot to scan
+            }
+            for &v in bucket {
+                if stamp.mark(v as usize) {
+                    // Every row is in flight before the batch is scored.
+                    state.store.prefetch_row(v as u32);
+                    candidates.push(v as u32);
                 }
             }
         }
@@ -379,8 +412,8 @@ fn run_scan<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
     stats.spilled_bytes = state.spilled_bytes()
         + segments
             .iter()
-            .map(|p| std::fs::metadata(p).map(|m| m.len()).unwrap_or(0))
-            .sum::<u64>();
+            .map(|p| std::fs::metadata(p).map(|m| m.len()))
+            .sum::<io::Result<u64>>()?;
     Ok((state, segments, stats))
 }
 
@@ -394,7 +427,8 @@ fn run_scan<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
 /// same fingerprint store, for any shard count and either backend.
 ///
 /// # Panics
-/// Panics if `k == 0` or `tables == 0`.
+/// Panics if `k == 0`, `tables == 0` or the population exceeds the `u32`
+/// id space.
 pub fn build<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
     source: &P,
     params: &ShfParams<H>,
@@ -427,7 +461,8 @@ pub fn build<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
 /// [`build`]-returned graph.
 ///
 /// # Panics
-/// Panics if `k == 0` or `tables == 0`.
+/// Panics if `k == 0`, `tables == 0` or the population exceeds the `u32`
+/// id space.
 pub fn build_to_disk<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
     source: &P,
     params: &ShfParams<H>,
@@ -441,20 +476,17 @@ pub fn build_to_disk<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
     let t0 = Instant::now();
     let _span = trace::span_arg("phase", "ooc_stitch", segments.len() as u64);
     let mut w = BufWriter::new(File::create(out)?);
-    w.write_all(b"GFG1")?;
-    w.write_all(&(cfg.k as u32).to_le_bytes())?;
-    w.write_all(&(n as u32).to_le_bytes())?;
+    serial::write_header(&mut w, cfg.k, n as usize)?;
+    let mut buf = Vec::new();
     for path in &segments {
         let mut r = BufReader::new(File::open(path)?);
         let seg = read_segment(&mut r, n)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         for local in 0..seg.n_users() {
-            let list = seg.list(local);
-            w.write_all(&(list.len() as u32).to_le_bytes())?;
-            for s in &list {
-                w.write_all(&s.user.to_le_bytes())?;
-                w.write_all(&s.sim.to_le_bytes())?;
-            }
+            let (ids, sims) = (seg.neighbor_ids(local), seg.neighbor_sims(local));
+            buf.clear();
+            serial::encode_list(&mut buf, ids.iter().copied().zip(sims.iter().copied()));
+            w.write_all(&buf)?;
         }
     }
     w.flush()?;
@@ -587,6 +619,30 @@ mod tests {
         assert_eq!(graph.neighbors(8)[0].user, 9);
         assert_eq!(graph.neighbors(9)[0].user, 8);
         assert!(stats.similarity_evals > 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn empty_profiles_get_empty_bucket_ranges() {
+        let profiles = fixture();
+        let dir = tmp("ranges");
+        let mut cfg = OocConfig::new(3, 4, 99, &dir);
+        cfg.spill = false;
+        let state = prepare(&profiles, &params(), &cfg, &mut OocStats::default()).unwrap();
+        let n = profiles.n_users();
+        for u in 0..n as u32 {
+            let empty = profiles.items(u).is_empty();
+            for t in 0..cfg.tables {
+                let range = state.ranges[t * n + u as usize];
+                if empty {
+                    assert_eq!(range, pack_range(0, 0), "u={u} t={t}");
+                } else {
+                    // Every keyed user sits in its own bucket.
+                    assert!(state.bucket(t, u).contains(&u64::from(u)), "u={u} t={t}");
+                }
+            }
+        }
+        assert!((0..n as u32).any(|u| profiles.items(u).is_empty()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -15,6 +15,10 @@ use std::io::{self, Read, Write};
 
 const GRAPH_MAGIC: &[u8; 4] = b"GFG1";
 
+/// Lists reserved up front by [`read_knn_graph`]: the header's `n` is
+/// unverified until the lists are read, so the rest grow as they decode.
+const MAX_PREALLOC_LISTS: usize = 1 << 16;
+
 fn corrupt(msg: impl Into<String>) -> DecodeError {
     DecodeError::Corrupt(msg.into())
 }
@@ -31,18 +35,31 @@ fn read_f64(r: &mut impl Read) -> io::Result<f64> {
     Ok(f64::from_le_bytes(buf))
 }
 
+/// Writes the `GFG1` header of a graph with `n` users and parameter `k`.
+pub(crate) fn write_header(w: &mut impl Write, k: usize, n: usize) -> io::Result<()> {
+    w.write_all(GRAPH_MAGIC)?;
+    w.write_all(&(k as u32).to_le_bytes())?;
+    w.write_all(&(n as u32).to_le_bytes())
+}
+
+/// Appends one user's `GFG1` list record (`len`, then `(user, sim)` per
+/// edge) to `buf`.
+pub(crate) fn encode_list(buf: &mut Vec<u8>, edges: impl ExactSizeIterator<Item = (u32, f64)>) {
+    buf.extend_from_slice(&(edges.len() as u32).to_le_bytes());
+    for (user, sim) in edges {
+        buf.extend_from_slice(&user.to_le_bytes());
+        buf.extend_from_slice(&sim.to_le_bytes());
+    }
+}
+
 /// Writes a KNN graph in the `GFG1` format.
 pub fn write_knn_graph(graph: &KnnGraph, w: &mut impl Write) -> io::Result<()> {
-    w.write_all(GRAPH_MAGIC)?;
-    w.write_all(&(graph.k() as u32).to_le_bytes())?;
-    w.write_all(&(graph.n_users() as u32).to_le_bytes())?;
+    write_header(w, graph.k(), graph.n_users())?;
+    let mut buf = Vec::new();
     for u in 0..graph.n_users() as u32 {
-        let neigh = graph.neighbors(u);
-        w.write_all(&(neigh.len() as u32).to_le_bytes())?;
-        for s in neigh {
-            w.write_all(&s.user.to_le_bytes())?;
-            w.write_all(&s.sim.to_le_bytes())?;
-        }
+        buf.clear();
+        encode_list(&mut buf, graph.neighbors(u).iter().map(|s| (s.user, s.sim)));
+        w.write_all(&buf)?;
     }
     Ok(())
 }
@@ -62,7 +79,7 @@ pub fn read_knn_graph(r: &mut impl Read) -> Result<KnnGraph, DecodeError> {
     if k == 0 || n > 500_000_000 {
         return Err(corrupt(format!("implausible header: k = {k}, n = {n}")));
     }
-    let mut lists = Vec::with_capacity(n as usize);
+    let mut lists = Vec::with_capacity((n as usize).min(MAX_PREALLOC_LISTS));
     for u in 0..n {
         let len = read_u32(r)? as usize;
         if len > k {
@@ -192,6 +209,20 @@ mod tests {
             Err(DecodeError::Corrupt(msg)) => assert!(msg.contains("own neighbour")),
             other => panic!("unexpected: {other:?}"),
         }
+    }
+
+    #[test]
+    fn huge_header_without_lists_is_an_error_not_an_allocation() {
+        // A header claiming 499,999,999 users, then EOF: reserving `n`
+        // lists up front would request ~12 GB before the first read fails.
+        let mut buf = Vec::new();
+        buf.extend_from_slice(b"GFG1");
+        buf.extend_from_slice(&30u32.to_le_bytes());
+        buf.extend_from_slice(&499_999_999u32.to_le_bytes());
+        assert!(matches!(
+            read_knn_graph(&mut buf.as_slice()),
+            Err(DecodeError::Io(_))
+        ));
     }
 
     #[test]

@@ -280,7 +280,17 @@ impl NaiveList {
         }
     }
 
+    /// A full list first tests the candidate against its worst entry, so
+    /// a member that cannot beat it is `Rejected`, not `Duplicate`.
     fn offer(&mut self, user: u32, sim: f64) -> Offer {
+        let full = self.entries.len() == self.k;
+        let worst = self.worst_index();
+        if full {
+            let w = self.entries[worst];
+            if !(sim > w.sim || (sim == w.sim && user < w.user)) {
+                return Offer::Rejected;
+            }
+        }
         if self.entries.iter().any(|e| e.user == user) {
             return Offer::Duplicate;
         }
@@ -289,17 +299,13 @@ impl NaiveList {
             user,
             is_new: true,
         };
-        if self.entries.len() < self.k {
-            self.entries.push(entry);
-            return Offer::Added;
-        }
-        let worst = self.worst_index();
-        let w = self.entries[worst];
-        if sim > w.sim || (sim == w.sim && user < w.user) {
+        if full {
+            let evicted = self.entries[worst].user;
             self.entries[worst] = entry;
-            Offer::Replaced(w.user)
+            Offer::Replaced(evicted)
         } else {
-            Offer::Rejected
+            self.entries.push(entry);
+            Offer::Added
         }
     }
 
